@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"timedrelease/internal/backend"
 )
 
 // TestExpandMessageXMDVectors pins the RFC 9380 expander against the
@@ -123,6 +125,44 @@ func TestSerializationVectors(t *testing.T) {
 		}
 		if !back2.equal(&p2) {
 			t.Errorf("k=%s: G2 decode mismatch", row.Scalar)
+		}
+	}
+}
+
+// TestHashToG2Golden pins the compressed output of Backend.HashToG2 for
+// the scheme's two H1 domains (time labels and token seeds) over empty,
+// short, long, sub-second-label and 32-byte-seed messages. The vectors
+// in testdata/h1_golden.json were produced by the original
+// [h2]-ladder pipeline; every archive, signature, token and ciphertext
+// depends on these bytes, so any rewrite of the map or of cofactor
+// clearing must reproduce them exactly.
+func TestHashToG2Golden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "h1_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Vectors []struct {
+			Domain string `json:"domain"`
+			Msg    string `json:"msg"`
+			G2     string `json:"g2"`
+		} `json:"vectors"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Vectors) < 16 {
+		t.Fatalf("only %d vectors", len(doc.Vectors))
+	}
+	b := New()
+	for _, v := range doc.Vectors {
+		msg, err := hex.DecodeString(v.Msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := b.HashToG2(v.Domain, msg)
+		if got := hex.EncodeToString(b.AppendPoint(nil, backend.G2, p)); got != v.G2 {
+			t.Errorf("HashToG2(%q, %s) = %s, want %s", v.Domain, v.Msg, got, v.G2)
 		}
 	}
 }
