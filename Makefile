@@ -173,7 +173,8 @@ experiments-quick:
 # Fuzz campaign over every wire decoder (including the armored round
 # ciphertext format), the differential field-arithmetic targets
 # (Montgomery backend vs big.Int reference, plus the BLS12-381 base
-# field, Fp12 tower and compressed G2 decoder), the client's HTTP
+# field, Fp12 tower and compressed G2 decoder, and hash-to-G2 against
+# its reference [h2]-ladder pipeline), the client's HTTP
 # update parsing, the beacon round↔label mapping and the metrics JSON
 # encoder.
 # Checked-in seed corpora live under <pkg>/testdata/fuzz/<Target>/.
@@ -192,6 +193,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzFeArith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzFp12Arith -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzG2Marshal -fuzztime $(FUZZTIME) ./internal/bls381
+	$(GO) test -run XXX -fuzz FuzzHashToG2 -fuzztime $(FUZZTIME) ./internal/bls381
 	$(GO) test -run XXX -fuzz FuzzClientDecodeUpdate -fuzztime $(FUZZTIME) ./internal/timeserver
 	$(GO) test -run XXX -fuzz FuzzMetricsSnapshot -fuzztime $(FUZZTIME) ./internal/obs
 

@@ -29,6 +29,13 @@ type PairingRow struct {
 	ProductNS    int64 `json:"product4_ns"`   // PairProduct over 4 pairs (shared final exp)
 	VerifyNS     int64 `json:"bls_verify_ns"` // prepared-key BLS verification (2 Miller loops, 1 final exp)
 
+	// Hash-to-G2 layers, BLS12-381 row only: the whole RFC 9380
+	// pipeline (≈ 2 maps + 1 clearing), one SVDW map, and the cofactor
+	// clearing of a sum of two map outputs.
+	HashToG2NS      int64 `json:"hash_to_g2_ns,omitempty"`
+	SvdwMapNS       int64 `json:"svdw_map_ns,omitempty"`
+	ClearCofactorNS int64 `json:"clear_cofactor_ns,omitempty"`
+
 	SpeedupProjective float64 `json:"speedup_projective"` // affine / projective
 	SpeedupPrepared   float64 `json:"speedup_prepared"`   // affine / prepared
 
@@ -177,6 +184,7 @@ func RunPairing(cfg Config) (*PairingReport, *Table, error) {
 	t.Note("product = PairProduct over 4 pairs: parallel Miller loops, one shared final exponentiation")
 	t.Note("bls12381 rows time the Type-3 optimal ate pairing; the Tate affine reference loop does not exist there, so the affine column and the speedups are n/a (0 in the JSON)")
 	t.Note("allocs/op and B/op are -benchmem-style means over the prepared path; the JSON also records the projective path's")
+	t.Note("the bls12381 JSON row also times hash-to-G2 (hash_to_g2_ns ≈ 2·svdw_map_ns + clear_cofactor_ns); it is on the critical path of every update signature and verification")
 	return rep, t, nil
 }
 
@@ -193,6 +201,10 @@ func pairingRowBLS(set *params.Set, iters int) PairingRow {
 	verifyD := timeOp(iters, verify)
 	projAllocs, projBytes := memPerOp(iters, pairFull)
 	prepAllocs, prepBytes := memPerOp(iters, pairPrep)
+	hash, svdw, clearing := bls381.BenchHashOps()
+	hashD := timeOp(iters, hash)
+	svdwD := timeOp(iters, svdw)
+	clearD := timeOp(iters, clearing)
 	return PairingRow{
 		Preset:           set.Name,
 		Backend:          "bls12381",
@@ -204,6 +216,9 @@ func pairingRowBLS(set *params.Set, iters int) PairingRow {
 		PreparedNS:       prepared.Nanoseconds(),
 		ProductNS:        product.Nanoseconds(),
 		VerifyNS:         verifyD.Nanoseconds(),
+		HashToG2NS:       hashD.Nanoseconds(),
+		SvdwMapNS:        svdwD.Nanoseconds(),
+		ClearCofactorNS:  clearD.Nanoseconds(),
 		ProjectiveAllocs: projAllocs,
 		ProjectiveBytes:  projBytes,
 		PreparedAllocs:   prepAllocs,

@@ -63,3 +63,24 @@ func BenchPairingOps() (pairFull, pairWithPrep, precompute, product4, verify fun
 	_ = sink
 	return pairFull, pairWithPrep, precompute, product4, verify
 }
+
+// BenchHashOps returns closures timing the hash-to-G2 layers on a fixed
+// time label: the whole RFC 9380 pipeline, one SVDW map, and the
+// cofactor clearing of a sum of two map outputs (the shape the
+// pipeline clears).
+func BenchHashOps() (hash, svdw, clearing func()) {
+	initCtx()
+	msg := []byte("2026-01-01T00:00:00Z")
+	const dst = "bls381-bench-hash"
+	u0, u1 := hashToFieldFp2(msg, dst)
+	sum := svdwMapJac(&u0)
+	p1 := svdwMapJac(&u1)
+	sum.add(&sum, &p1)
+	var sink g2Affine
+	var sinkJ g2Jac
+	hash = func() { sink = hashToG2(msg, dst) }
+	svdw = func() { sinkJ = svdwMapJac(&u0) }
+	clearing = func() { sink = clearCofactor(&sum) }
+	_, _ = sink, sinkJ
+	return hash, svdw, clearing
+}

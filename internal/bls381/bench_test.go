@@ -66,3 +66,44 @@ func BenchmarkFeMulLoop(b *testing.B) {
 		feMulLoop(&z, &x, &y)
 	}
 }
+
+func BenchmarkSvdwMap(b *testing.B) {
+	initCtx()
+	u, _ := hashToFieldFp2([]byte("2026-01-01T00:00:00Z"), "bench-dst")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = svdwMapJac(&u)
+	}
+}
+
+func BenchmarkClearCofactor(b *testing.B) {
+	initCtx()
+	u0, u1 := hashToFieldFp2([]byte("2026-01-01T00:00:00Z"), "bench-dst")
+	p := svdwMapJac(&u0)
+	q := svdwMapJac(&u1)
+	p.add(&p, &q)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = clearCofactor(&p)
+	}
+}
+
+func BenchmarkG2InSubgroup(b *testing.B) {
+	initCtx()
+	q := randG2(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !q.inSubgroup() {
+			b.Fatal("generator multiple outside G2")
+		}
+	}
+}
+
+func BenchmarkFeInv(b *testing.B) {
+	initCtx()
+	x := randFe(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.inv(&x)
+	}
+}

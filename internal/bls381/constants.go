@@ -97,3 +97,15 @@ func initSVDW() {
 	inv.inv(&tz2)
 	ctx.svdwC4.mul(&t, &inv)
 }
+
+// initCofactor derives the c⁻¹ digit clearCofactor multiplies by:
+// c = 3(x²−1) is the ratio h_eff/h2 of the RFC 9380 effective cofactor
+// to the true twist cofactor, and d0 is the least significant digit
+// of c⁻¹ mod r written in base |x|.
+func initCofactor() {
+	c := new(big.Int).Mul(ctx.xAbs, ctx.xAbs)
+	c.Sub(c, big.NewInt(1))
+	c.Mul(c, big.NewInt(3))
+	cInv := new(big.Int).ModInverse(c, ctx.r)
+	ctx.cInvD0 = cInv.Mod(cInv, ctx.xAbs)
+}

@@ -62,16 +62,17 @@ var ctx struct {
 
 	p, r, xAbs *big.Int
 	h1, h2     *big.Int
-	pm2        *big.Int
 
 	fp   *ff.Field
 	mnt  *ff.Mont
 	half fe // 1/2
 
-	// sqrt exponent (p+1)/4 for p ≡ 3 (mod 4), and (p-1)/2 for the
-	// Euler residue test.
-	sqrtExp  *big.Int
-	eulerExp *big.Int
+	// Window schedules for the two fixed exponents every inversion,
+	// square root and residue test runs: p−2 (Fermat inverse) and
+	// (p−3)/4, from which p ≡ 3 (mod 4) gives both the root
+	// x^((p+1)/4) = x·x^((p−3)/4) and Euler's criterion
+	// x^((p−1)/2) = x·(x^((p−3)/4))².
+	invPlan, p34Plan expPlan
 
 	// Frobenius: w^p = γ1·w with γ1 = ξ^((p−1)/6), so v^p = γ1²·v and
 	// (v²)^p = γ1⁴·v².
@@ -81,6 +82,10 @@ var ctx struct {
 
 	// SVDW map-to-curve constants for E'(Fp2) with Z = −1 (svdwZ).
 	svdwZ, svdwC1, svdwC2, svdwC3, svdwC4 fe2
+
+	// cInvD0 is the low base-|x| digit of c⁻¹ mod r for the cofactor
+	// ratio c = 3(x²−1) = h_eff/h2 (see clearCofactor).
+	cInvD0 *big.Int
 
 	g1 g1Affine
 	g2 g2Affine
@@ -113,10 +118,8 @@ func initCtx() {
 
 		initFeArith()
 
-		one := big.NewInt(1)
-		ctx.pm2 = new(big.Int).Sub(ctx.p, big.NewInt(2))
-		ctx.sqrtExp = new(big.Int).Rsh(new(big.Int).Add(ctx.p, one), 2)
-		ctx.eulerExp = new(big.Int).Rsh(new(big.Int).Sub(ctx.p, one), 1)
+		ctx.invPlan = newExpPlan(new(big.Int).Sub(ctx.p, big.NewInt(2)))
+		ctx.p34Plan = newExpPlan(new(big.Int).Rsh(new(big.Int).Sub(ctx.p, big.NewInt(3)), 2))
 
 		two := big.NewInt(2)
 		halfBig := new(big.Int).ModInverse(two, ctx.p)
@@ -125,6 +128,7 @@ func initCtx() {
 		initTowerConstants()
 		initGenerators()
 		initSVDW()
+		initCofactor()
 	})
 }
 
@@ -146,18 +150,77 @@ func (z *fe) neg(x *fe)    { feNeg(z, x) }
 func (z *fe) mul(x, y *fe) { feMul(z, x, y) }
 func (z *fe) sqr(x *fe)    { feSqr(z, x) }
 
-// exp is square-and-multiply on the fixed-limb routines.
-func (z *fe) exp(x *fe, e *big.Int) {
-	var base, acc fe
-	base.set(x)
-	acc.setOne()
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		feSqr(&acc, &acc)
-		if e.Bit(i) == 1 {
-			feMul(&acc, &acc, &base)
+// expWindow is the sliding-window width of the fixed-exponent
+// schedules: 16 odd powers x, x³, …, x³¹ cost one squaring and 15
+// products, after which a 381-bit exponent needs ~380 squarings and
+// ~64 products (~460 operations against ~570 for square-and-multiply).
+const expWindow = 5
+
+// expStep squares the accumulator sqr times, then multiplies it by the
+// odd power x^(2·idx+1) from the window table.
+type expStep struct {
+	sqr uint16
+	idx uint8
+}
+
+// expPlan is the left-to-right sliding-window schedule of one fixed
+// public exponent: the accumulator starts at the first step's table
+// entry, runs the remaining steps, then squares tail more times. The
+// schedule depends only on the exponent, never on the base.
+type expPlan struct {
+	steps []expStep
+	tail  int
+}
+
+// newExpPlan builds the width-expWindow schedule of e > 0.
+func newExpPlan(e *big.Int) expPlan {
+	var plan expPlan
+	pending := 0 // squarings owed since the last window
+	for i := e.BitLen() - 1; i >= 0; {
+		if e.Bit(i) == 0 {
+			pending++
+			i--
+			continue
 		}
+		j := i - expWindow + 1
+		if j < 0 {
+			j = 0
+		}
+		for e.Bit(j) == 0 {
+			j++
+		}
+		v := 0
+		for k := i; k >= j; k-- {
+			v = v<<1 | int(e.Bit(k))
+		}
+		plan.steps = append(plan.steps, expStep{sqr: uint16(pending + i - j + 1), idx: uint8(v >> 1)})
+		pending = 0
+		i = j - 1
 	}
-	z.set(&acc)
+	plan.tail = pending
+	return plan
+}
+
+// expFixed sets z = x^e for the exponent the plan was built from.
+func (z *fe) expFixed(x *fe, plan *expPlan) {
+	var tbl [1 << (expWindow - 1)]fe
+	var x2 fe
+	tbl[0] = *x
+	feSqr(&x2, x)
+	for i := 1; i < len(tbl); i++ {
+		feMul(&tbl[i], &tbl[i-1], &x2)
+	}
+	acc := tbl[plan.steps[0].idx]
+	for _, st := range plan.steps[1:] {
+		for k := uint16(0); k < st.sqr; k++ {
+			feSqr(&acc, &acc)
+		}
+		feMul(&acc, &acc, &tbl[st.idx])
+	}
+	for k := 0; k < plan.tail; k++ {
+		feSqr(&acc, &acc)
+	}
+	*z = acc
 }
 
 // inv is the Fermat inverse x^(p−2); panics on zero like ff.Mont.Inv.
@@ -165,9 +228,14 @@ func (z *fe) inv(x *fe) {
 	if x.isZero() {
 		panic("bls381: inverse of zero")
 	}
-	pm2 := ctx.pm2
-	z.exp(x, pm2)
+	z.expFixed(x, &ctx.invPlan)
 }
+
+// expP34 sets z = x^((p−3)/4). For a nonzero square x this is 1/√x
+// for the root √x = x·z that sqrt returns, and z²·x is Euler's
+// criterion x^((p−1)/2) for every x, so one power serves as both
+// residue test and root.
+func (z *fe) expP34(x *fe) { z.expFixed(x, &ctx.p34Plan) }
 
 // fromBig loads a (not necessarily reduced) big.Int into Montgomery form.
 func (z *fe) fromBig(x *big.Int) {
@@ -183,21 +251,12 @@ func (z *fe) toBig() *big.Int {
 	return ctx.mnt.FromMont(nil, z[:])
 }
 
-// isResidue reports whether z is a square in Fp (true for zero).
-func (z *fe) isResidue() bool {
-	if z.isZero() {
-		return true
-	}
-	var t fe
-	t.exp(z, ctx.eulerExp)
-	return t.isOne()
-}
-
-// sqrt sets z = √x for p ≡ 3 (mod 4) and reports success; on failure z
-// is unspecified.
+// sqrt sets z = √x = x^((p+1)/4) for p ≡ 3 (mod 4) and reports
+// success; on failure z is unspecified.
 func (z *fe) sqrt(x *fe) bool {
 	var c, t fe
-	c.exp(x, ctx.sqrtExp)
+	c.expP34(x)
+	c.mul(&c, x)
 	t.sqr(&c)
 	if !t.equal(x) {
 		return false

@@ -110,69 +110,100 @@ func (z *fe2) exp(x *fe2, e *big.Int) {
 	z.set(&acc)
 }
 
-// isResidue reports whether x is a square in Fp2: x is a square iff
-// its norm c0² + c1² is a square in Fp.
-func (z *fe2) isResidue() bool {
-	var n, t fe
-	n.sqr(&z.c0)
-	t.sqr(&z.c1)
-	n.add(&n, &t)
-	return n.isResidue()
-}
-
 // sqrt sets z = √x for p ≡ 3 (mod 4) and reports success. Writes z
 // only on success; z may alias x.
 func (z *fe2) sqrt(x *fe2) bool {
-	if x.isZero() {
-		z.setZero()
-		return true
+	var one fe
+	one.setOne()
+	return z.sqrtScaled(x, &one)
+}
+
+// sqrtScaled sets z = √w for w = v/k⁴ (k ∈ Fp nonzero) without
+// inverting k, and reports whether w is a square. It costs two Fp
+// powers t^((p−3)/4), and only one when w is not a square. A caller
+// holding x = X/k on a curve y² = g(x) gets the affine y from
+// v = g(X/k)·k⁴ with no inversion at all.
+//
+// The root is the classical one for p ≡ 3 (mod 4): with the norm root
+// n = √(c0² + c1²) and d = (c0 + n)/2, w = (x0 + x1·i)² for x0 = √d
+// and x1 = c1/(2·x0) when d is a square; otherwise c1 ≠ 0, the other
+// half-sum (c0 − n)/2 = −c1²/(4d) is the square, and −i times the same
+// formula is the root. Raising t·k⁸ instead of t to (p−3)/4 multiplies
+// the power by k⁻⁴, since k^(8·(p−3)/4) = k^(2(p−1))·k⁻⁴, which moves
+// the scale out with no inversion. For a square d, s = d^((p−3)/4)
+// gives both √d = s·d and 1/√d = s, so x1 needs no inversion either.
+// Writes z only on success; z may alias v.
+func (z *fe2) sqrtScaled(v *fe2, k *fe) bool {
+	var k2, k4, k8 fe
+	k2.sqr(k)
+	k4.sqr(&k2)
+	k8.sqr(&k4)
+
+	// Norm: e = (N(v)·k⁸)^((p−3)/4) = N(v)^((p−3)/4)·k⁻⁴, so the
+	// norm root of w is n = N(v)·e and N(v) is a square iff e²·N(v)·k⁸
+	// is one (or N(v) = 0).
+	var nv, t, e, n fe
+	nv.sqr(&v.c0)
+	t.sqr(&v.c1)
+	nv.add(&nv, &t)
+	t.mul(&nv, &k8)
+	e.expP34(&t)
+	if !nv.isZero() {
+		var chi fe
+		chi.sqr(&e)
+		chi.mul(&chi, &t)
+		if !chi.isOne() {
+			return false
+		}
 	}
-	// n = √(c0² + c1²) in Fp (the norm of the root's generator),
-	// then x = (d + c1·i/(2·x0))² with d = (c0 + n)/2 when d is a
-	// residue (flip the sign of n otherwise).
-	var n, t, d, x0, x1 fe
-	n.sqr(&x.c0)
-	t.sqr(&x.c1)
-	n.add(&n, &t)
-	if !n.sqrt(&n) {
-		return false
-	}
-	d.add(&x.c0, &n)
-	d.mul(&d, &ctx.half)
-	if !d.isResidue() {
-		d.sub(&x.c0, &n)
-		d.mul(&d, &ctx.half)
-	}
-	if !x0.sqrt(&d) {
-		return false
-	}
-	if x0.isZero() {
-		// x = −a² for real a: root is purely imaginary, c1 must be 0.
-		if !x.c1.isZero() {
+	n.mul(&nv, &e)
+
+	// dk = d·k⁴ = (v.c0 + n·k⁴)/2.
+	var dk, s fe
+	dk.mul(&n, &k4)
+	dk.add(&dk, &v.c0)
+	dk.mul(&dk, &ctx.half)
+	var root fe2
+	if dk.isZero() {
+		// d = 0 happens only for c1 = 0 with −c0 a square; the root is
+		// i·√(−c0), and m·((m·k⁸)^((p−3)/4))·k² = √(m/k⁴) for m = −v.c0.
+		if !v.c1.isZero() {
 			return false
 		}
 		var m fe
-		m.neg(&x.c0)
-		if !x1.sqrt(&m) {
-			return false
+		m.neg(&v.c0)
+		t.mul(&m, &k8)
+		s.expP34(&t)
+		root.c1.mul(&m, &s)
+		root.c1.mul(&root.c1, &k2)
+	} else {
+		// s = ((d·k⁴)·k⁸)^((p−3)/4) = d^((p−3)/4)·k⁻⁶, so
+		// x0 = d^((p+1)/4) = dk·s·k² and x1 = c1/(2·x0) = (v.c1/2)·s·k².
+		t.mul(&dk, &k8)
+		s.expP34(&t)
+		var chi, sk2, a, b fe
+		chi.sqr(&s)
+		chi.mul(&chi, &t)
+		sk2.mul(&s, &k2)
+		a.mul(&dk, &sk2)
+		b.mul(&v.c1, &ctx.half)
+		b.mul(&b, &sk2)
+		if chi.isOne() {
+			root.c0, root.c1 = a, b
+		} else {
+			// d is not a square: (x0 + x1·i)·(−i) = x1 − x0·i.
+			root.c0 = b
+			root.c1.neg(&a)
 		}
-		z.c0.setZero()
-		z.c1.set(&x1)
-		return true
 	}
-	t.dbl(&x0)
-	t.inv(&t)
-	x1.mul(&x.c1, &t)
-	// Verify (x0 + x1 i)² == x; guards against non-square inputs.
-	var c fe2
-	c.c0.set(&x0)
-	c.c1.set(&x1)
-	var s fe2
-	s.sqr(&c)
-	if !s.equal(x) {
+	// Verify root²·k⁴ = v; guards against non-square inputs.
+	var chk fe2
+	chk.sqr(&root)
+	chk.mulByFe(&chk, &k4)
+	if !chk.equal(v) {
 		return false
 	}
-	z.set(&c)
+	z.set(&root)
 	return true
 }
 

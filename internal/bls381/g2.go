@@ -71,7 +71,8 @@ func (p *g2Affine) psi(q *g2Affine) {
 }
 
 // inSubgroup uses the ψ criterion: Q ∈ G2 ⇔ ψ(Q) = [x]Q. Since x < 0,
-// the right side is −[|x|]Q — a 64-bit ladder instead of a 255-bit one.
+// the right side is −[|x|]Q — the sparse 64-bit chain instead of a
+// 255-bit ladder, compared in Jacobian form so no inversion is needed.
 // TestPsiSubgroupCheck pins this against the definitional [r]Q = O.
 func (p *g2Affine) inSubgroup() bool {
 	if p.inf {
@@ -79,22 +80,108 @@ func (p *g2Affine) inSubgroup() bool {
 	}
 	var want g2Affine
 	want.psi(p)
-	var j, xq g2Jac
-	j.fromAffine(p)
-	xq.scalarMult(&j, ctx.xAbs)
-	xq.neg(&xq)
-	got := xq.toAffine()
-	return got.equal(&want)
+	var xq g2Jac
+	xq.fromAffine(p)
+	xq.mulByX(&xq)
+	return xq.equalAffine(&want)
 }
 
-// clearCofactor maps a curve point into G2 by multiplying with the
-// twist cofactor h2. Plain and safe; hash-to-curve amortizes it behind
-// the scheme's label cache.
-func (p *g2Affine) clearCofactor(q *g2Affine) {
-	var j g2Jac
-	j.fromAffine(q)
-	j.scalarMult(&j, ctx.h2)
-	*p = j.toAffine()
+// clearCofactor maps a twist point into G2: it returns [h2]q for the
+// 507-bit twist cofactor h2, without a 507-bit ladder. The RFC 9380
+// App. G.3 Budroni–Pintore chain gives
+//
+//	[h_eff]q = [x²−x−1]q + [x−1]ψ(q) + ψ²(2q)
+//
+// from two sparse [x] multiplications, and h_eff = c·h2 exactly for
+// c = 3(x²−1). [h_eff]q lies in G2, where ψ = [x], so one more step by
+// the public constant c⁻¹ mod r, written in base |x| and folded into
+// ψ (see mulByCInv), lands on [h2]q itself: the output, and every
+// signature, token and ciphertext built on it, is bit-identical to the
+// plain [h2] ladder (TestClearCofactorMatchesLadder).
+func clearCofactor(q *g2Jac) g2Affine {
+	var t1, t2, t3, t4 g2Jac
+	t1.mulByX(q) // [x]q
+	t2.psi(q)    // ψ(q)
+	t3.double(q)
+	t3.psi(&t3)
+	t3.psi(&t3) // ψ²(2q)
+	t4.neg(&t2)
+	t3.add(&t3, &t4) // ψ²(2q) − ψ(q)
+	t2.add(&t1, &t2)
+	t2.mulByX(&t2) // [x²]q + [x]ψ(q)
+	t3.add(&t3, &t2)
+	t4.neg(&t1)
+	t3.add(&t3, &t4) // … − [x]q
+	t4.neg(q)
+	t3.add(&t3, &t4) // … − q = [h_eff]q
+	t3.mulByCInv(&t3)
+	return t3.toAffine()
+}
+
+// mulByCInv sets j = [c⁻¹ mod r]q for q ∈ G2 and c = 3(x²−1). The
+// base-|x| digits of c⁻¹ are (d0, 2d0−1, 2d0−2, d0−1) with
+// d0 = (|x|+1)/3 (pinned by TestCofactorConstants), and ψ = [x] =
+// −[|x|] on G2, so
+//
+//	[c⁻¹]q = [d0]q − [2d0−1]ψ(q) + [2d0−2]ψ²(q) − [d0−1]ψ³(q)
+//	       = [d0]·(1−ψ)(1−ψ+ψ²)q + ψ(1−ψ)²q:
+//
+// one 63-bit scalarMult plus five ψ maps and four additions.
+func (j *g2Jac) mulByCInv(q *g2Jac) {
+	var a, b, t g2Jac
+	t.psi(q)
+	t.neg(&t)
+	a.add(q, &t) // (1−ψ)q
+	t.psi(&a)
+	t.neg(&t)
+	b.add(&a, &t) // (1−ψ)²q
+	t.psi(&a)
+	t.psi(&t)
+	t.add(&b, &t) // (1−ψ)(1−ψ+ψ²)q
+	t.scalarMult(&t, ctx.cInvD0)
+	b.psi(&b)
+	j.add(&t, &b)
+}
+
+// psi is the Jacobian form of the ψ endomorphism:
+// (X:Y:Z) ↦ (X̄·psiX : Ȳ·psiY : Z̄).
+func (j *g2Jac) psi(q *g2Jac) {
+	j.x.conj(&q.x)
+	j.x.mul(&j.x, &ctx.psiX)
+	j.y.conj(&q.y)
+	j.y.mul(&j.y, &ctx.psiY)
+	j.z.conj(&q.z)
+}
+
+// mulByX sets j = [x]q = −[|x|]q along the sparse chain of |x|: 63
+// doublings and 5 additions.
+func (j *g2Jac) mulByX(q *g2Jac) {
+	base := *q
+	acc := base
+	for i := ctx.xAbs.BitLen() - 2; i >= 0; i-- {
+		acc.double(&acc)
+		if ctx.xAbs.Bit(i) == 1 {
+			acc.add(&acc, &base)
+		}
+	}
+	j.neg(&acc)
+}
+
+// equalAffine reports whether the Jacobian j and the affine p are the
+// same point: X = x·Z² and Y = y·Z³.
+func (j *g2Jac) equalAffine(p *g2Affine) bool {
+	if j.isInfinity() || p.inf {
+		return j.isInfinity() == p.inf
+	}
+	var z2, t fe2
+	z2.sqr(&j.z)
+	t.mul(&p.x, &z2)
+	if !t.equal(&j.x) {
+		return false
+	}
+	t.mul(&p.y, &z2)
+	t.mul(&t, &j.z)
+	return t.equal(&j.y)
 }
 
 func (j *g2Jac) isInfinity() bool { return j.z.isZero() }

@@ -74,14 +74,21 @@ func hashToFieldFp2(msg []byte, dst string) (u0, u1 fe2) {
 	return u0, u1
 }
 
-// svdwMap is the straight-line Shallue–van de Woestijne map of RFC 9380
-// §6.6.1 for E'(Fp2) (A = 0, B = 4+4i, Z = −1). Output is on the twist
-// but NOT yet in G2; callers clear the cofactor.
-func svdwMap(u *fe2) g2Affine {
+// svdwMapJac is the straight-line Shallue–van de Woestijne map of
+// RFC 9380 §6.6.1 for E'(Fp2) (A = 0, B = 4+4i, Z = −1). Output is on
+// the twist but NOT yet in G2; callers clear the cofactor.
+//
+// It runs without a single inversion. The RFC's inv0(tv1·tv2) is kept
+// as a fraction conj(tv1·tv2)/m over the norm m ∈ Fp, so x1 and x2 are
+// X/m and x3 is X/m²; each candidate is tried with sqrtScaled, which
+// fails after one Fp power when g(x) is not a square and otherwise
+// returns the affine y (needed for the sign) from a second one. That
+// is 2 powers when x1 succeeds, 3 for x2, 4 for x3. The point comes
+// back in Jacobian form (X·k : y·k³ : k) for the denominator k.
+func svdwMapJac(u *fe2) g2Jac {
 	initCtx()
-	one := fe2{}
+	var one fe2
 	one.setOne()
-	b := twistB()
 
 	var tv1, tv2, tv3, tv4 fe2
 	tv1.sqr(u)
@@ -89,68 +96,82 @@ func svdwMap(u *fe2) g2Affine {
 	tv2.add(&one, &tv1)
 	tv1.sub(&one, &tv1)
 	tv3.mul(&tv1, &tv2)
-	if tv3.isZero() {
-		// inv0: the exceptional case maps through zero.
-		tv3.setZero()
+	// inv0(tv3) = conj(tv3)/m with m = N(tv3); the exceptional
+	// tv3 = 0 maps through zero (inv0(0) = 0) with m = 1.
+	var m fe
+	m.sqr(&tv3.c0)
+	var t fe
+	t.sqr(&tv3.c1)
+	m.add(&m, &t)
+	if m.isZero() {
+		m.setOne()
 	} else {
-		tv3.inv(&tv3)
+		tv3.conj(&tv3)
 	}
 	tv4.mul(u, &tv1)
 	tv4.mul(&tv4, &tv3)
-	tv4.mul(&tv4, &ctx.svdwC3)
+	tv4.mul(&tv4, &ctx.svdwC3) // RFC tv4 = this/m
 
-	var x1, gx1 fe2
-	x1.sub(&ctx.svdwC2, &tv4)
-	gx1.sqr(&x1)
-	gx1.mul(&gx1, &x1)
-	gx1.add(&gx1, &b)
-	e1 := gx1.isResidue()
-
-	var x2, gx2 fe2
-	x2.add(&ctx.svdwC2, &tv4)
-	gx2.sqr(&x2)
-	gx2.mul(&gx2, &x2)
-	gx2.add(&gx2, &b)
-	e2 := gx2.isResidue() && !e1
-
-	var x3 fe2
-	x3.sqr(&tv2)
-	x3.mul(&x3, &tv3)
-	x3.sqr(&x3)
-	x3.mul(&x3, &ctx.svdwC4)
-	x3.add(&x3, &ctx.svdwZ)
-
-	var x fe2
-	x.set(&x3)
-	if e1 {
-		x.set(&x1)
-	} else if e2 {
-		x.set(&x2)
-	}
-	var gx, y fe2
-	gx.sqr(&x)
-	gx.mul(&gx, &x)
-	gx.add(&gx, &b)
-	if !y.sqrt(&gx) {
-		panic("bls381: svdw produced a non-square g(x)")
+	var x, v, y fe2
+	var k fe
+	var c2m fe2
+	c2m.mulByFe(&ctx.svdwC2, &m)
+	x.sub(&c2m, &tv4) // x1 = x/m
+	k = m
+	twistRHS(&v, &x, &k)
+	if !y.sqrtScaled(&v, &k) {
+		x.add(&c2m, &tv4) // x2 = x/m
+		twistRHS(&v, &x, &k)
+		if !y.sqrtScaled(&v, &k) {
+			// x3 = Z + c4·(tv2²·inv0(tv1·tv2))² = x/m².
+			x.sqr(&tv2)
+			x.mul(&x, &tv3)
+			x.sqr(&x)
+			x.mul(&x, &ctx.svdwC4)
+			k.sqr(&m)
+			var zk fe2
+			zk.mulByFe(&ctx.svdwZ, &k)
+			x.add(&x, &zk)
+			twistRHS(&v, &x, &k)
+			if !y.sqrtScaled(&v, &k) {
+				panic("bls381: svdw produced a non-square g(x)")
+			}
+		}
 	}
 	if u.sgn0() != y.sgn0() {
 		y.neg(&y)
 	}
-	return g2Affine{x: x, y: y}
+	var k3 fe
+	k3.sqr(&k)
+	k3.mul(&k3, &k)
+	var j g2Jac
+	j.x.mulByFe(&x, &k)
+	j.y.mulByFe(&y, &k3)
+	j.z.c0 = k
+	return j
+}
+
+// twistRHS sets v = g(x/k)·k⁴ = (x³ + B·k³)·k, the right-hand side of
+// the twist at x/k scaled so that sqrtScaled(v, k) yields the affine y.
+func twistRHS(v, x *fe2, k *fe) {
+	var k3 fe
+	k3.sqr(k)
+	k3.mul(&k3, k)
+	b := twistB()
+	b.mulByFe(&b, &k3)
+	v.sqr(x)
+	v.mul(v, x)
+	v.add(v, &b)
+	v.mulByFe(v, k)
 }
 
 // hashToG2 is the full random-oracle construction: two field elements,
-// two curve mappings, one addition, one cofactor clearing.
+// two curve mappings, one Jacobian addition, one cofactor clearing —
+// and a single inversion, for the final affine output.
 func hashToG2(msg []byte, dst string) g2Affine {
 	u0, u1 := hashToFieldFp2(msg, dst)
-	p0 := svdwMap(&u0)
-	p1 := svdwMap(&u1)
-	var j g2Jac
-	j.fromAffine(&p0)
-	j.addAffine(&j, &p1)
-	sum := j.toAffine()
-	var out g2Affine
-	out.clearCofactor(&sum)
-	return out
+	p0 := svdwMapJac(&u0)
+	p1 := svdwMapJac(&u1)
+	p0.add(&p0, &p1)
+	return clearCofactor(&p0)
 }
